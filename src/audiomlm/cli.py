@@ -2,8 +2,9 @@
 
 Subcommands: pretrain, train-tokenizer, iterate, probe, finetune, extract,
 inspect-codebook, synth-corpus, manifest. Exit codes: 0 ok, 2 config error,
-3 data error, 4 numeric abort. ``OBEATS_WORKDIR`` supplies the default
-artifact root; config precedence is flags > config file > preset.
+3 data error (including too few k-means samples and over-long clips),
+4 numeric abort. ``OBEATS_WORKDIR`` supplies the default artifact root;
+config precedence is flags > config file > preset.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ EXIT_NUMERIC = 4
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="audiomlm", description=__doc__)
     parser.add_argument("--human", action="store_true", help="pretty summaries instead of JSON")
-    parser.add_argument("--threads", type=int, default=None, help="cap math library threads")
     parser.add_argument("--workers", type=int, default=0, help="decode worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -123,35 +123,17 @@ def _featurizer_for(args, config):
 
 
 def _cmd_pretrain(args) -> int:
-    from .codebook import RandomProjectionTokenizer, read_token_dump, write_token_dump
-    from .train import (
-        derive_rng,
-        pretrain_encoder,
-        tokenize_corpus_learned,
-        tokenize_corpus_random,
-        tokenizer_from_checkpoint,
-    )
+    from .train import ensure_token_dump, pretrain_encoder, random_tokenizer, tokenizer_from_checkpoint
 
     config, workdir = _load_run(args)
     manifest, featurizer = _featurizer_for(args, config)
-    enc = config["encoder"]
-    token_bin, token_json = workdir / "tokens.bin", workdir / "tokens.json"
-    if not (token_bin.exists() and token_json.exists()):
-        if args.tokenizer == "random":
-            rproj = RandomProjectionTokenizer.create(
-                int(derive_rng(config["seed"], "random-tokenizer").integers(2**31)),
-                enc["patch_dim"], enc["hidden"], enc["codebook_size"],
-            )
-            tokens = tokenize_corpus_random(manifest, featurizer, rproj)
-            meta = {"tokenizer": "random-projection", "seed": rproj.seed}
-            cb_hash = rproj.codebook.content_hash()
-        else:
-            tokenizer, _ = tokenizer_from_checkpoint(args.tokenizer)
-            tokens = tokenize_corpus_learned(manifest, featurizer, tokenizer)
-            meta = {"tokenizer": "learned", "source": str(args.tokenizer)}
-            cb_hash = tokenizer.codebook.content_hash()
-        write_token_dump(token_bin, token_json, tokens, cb_hash, meta)
-    token_lookup, _ = read_token_dump(token_bin, token_json)
+    if args.tokenizer == "random":
+        tokenizer = random_tokenizer(config)
+        meta = {"tokenizer": "random-projection", "seed": tokenizer.seed}
+    else:
+        tokenizer, _ = tokenizer_from_checkpoint(args.tokenizer)
+        meta = {"tokenizer": "learned", "source": str(args.tokenizer)}
+    token_lookup = ensure_token_dump(workdir, manifest, featurizer, tokenizer, meta)
     ckpt = pretrain_encoder(config, manifest, featurizer, token_lookup, workdir)
     _emit(args, {"checkpoint": str(ckpt), "log": str(workdir / "train.log.jsonl")})
     return EXIT_OK
@@ -239,17 +221,11 @@ def _cmd_inspect_codebook(args) -> int:
     import numpy as np
 
     from .audio import SAMPLE_RATE, MelSpectrogram, mel_spectrogram, Waveform
-    from .codebook import (
-        RandomProjectionTokenizer,
-        coverage,
-        nearest_neighbor_margins,
-        perplexity,
-    )
+    from .codebook import coverage, nearest_neighbor_margins, perplexity
     from .patches import patchify
-    from .train import derive_rng, tokenizer_from_checkpoint
+    from .train import random_tokenizer, tokenizer_from_checkpoint
 
     config, workdir = _load_run(args)
-    enc = config["encoder"]
 
     if args.manifest:
         manifest, featurizer = _featurizer_for(args, config)
@@ -265,10 +241,7 @@ def _cmd_inspect_codebook(args) -> int:
     patches = np.concatenate(patch_list, axis=0)
 
     if args.tokenizer == "random":
-        tok = RandomProjectionTokenizer.create(
-            int(derive_rng(config["seed"], "random-tokenizer").integers(2**31)),
-            enc["patch_dim"], enc["hidden"], enc["codebook_size"],
-        )
+        tok = random_tokenizer(config)
         assignments = tok.tokenize(patches)
         codebook = tok.codebook
         embeddings = patches @ tok.projection
@@ -346,18 +319,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
 
-    if args.threads is not None and "numpy" not in sys.modules:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     from .errors import (
         AudioFormatError,
         CheckpointError,
         ConfigError,
         ContractError,
         DataError,
+        InsufficientSamplesError,
         NumericError,
         PlanError,
+        ShapeError,
         TooShortError,
     )
 
@@ -366,8 +337,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, AudioFormatError, TooShortError, CheckpointError, PlanError,
-            ContractError, FileNotFoundError) as e:
+    except (DataError, AudioFormatError, TooShortError, InsufficientSamplesError, ShapeError,
+            CheckpointError, PlanError, ContractError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

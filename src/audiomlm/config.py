@@ -233,15 +233,3 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, section: dict) -> "EncoderConfig":
         return cls(**section)
-
-    def to_dict(self) -> dict:
-        return {
-            "hidden": self.hidden,
-            "ffn": self.ffn,
-            "layers": self.layers,
-            "heads": self.heads,
-            "codebook_size": self.codebook_size,
-            "patch_dim": self.patch_dim,
-            "max_time_patches": self.max_time_patches,
-            "positional": self.positional,
-        }

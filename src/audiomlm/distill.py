@@ -31,18 +31,6 @@ class TokenizerNetConfig:
         if self.width % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide width {self.width}")
 
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "ffn": self.ffn,
-            "layers": self.layers,
-            "heads": self.heads,
-            "predictor_layers": self.predictor_layers,
-            "codebook_size": self.codebook_size,
-            "patch_dim": self.patch_dim,
-            "max_time_patches": self.max_time_patches,
-        }
-
     @classmethod
     def from_dict(cls, section: dict) -> "TokenizerNetConfig":
         return cls(**section)

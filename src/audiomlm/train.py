@@ -7,9 +7,12 @@ resumed run replays the exact step sequence of an uninterrupted one.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,10 +25,19 @@ from .codebook import (
     kmeans_init,
     perplexity,
     quantize_batch,
+    read_token_dump,
     write_token_dump,
 )
 from .config import EncoderConfig
-from .data import Featurizer, Manifest, PatchBatch, epoch_batches, load_manifest, ensure_mel_stats
+from .data import (
+    Featurizer,
+    Manifest,
+    PatchBatch,
+    batch_iterator,
+    epoch_batches,
+    ensure_mel_stats,
+    load_manifest,
+)
 from .distill import (
     LearnedTokenizer,
     TokenizerEncoder,
@@ -36,6 +48,7 @@ from .distill import (
 )
 from .encoder import EncoderModel, mlm_loss, mlm_metrics
 from .errors import ContractError, PlanError
+from .nn import Module
 from .optim import AdamW, lr_at
 from .patches import sample_mask
 from .tensor import Tensor
@@ -106,6 +119,112 @@ def tokenize_corpus_learned(
     return out
 
 
+def random_tokenizer(config: dict) -> RandomProjectionTokenizer:
+    """The run's first-iteration tokenizer, seeded from the config's seed."""
+    enc = config["encoder"]
+    seed = int(derive_rng(int(config["seed"]), "random-tokenizer").integers(2**31))
+    return RandomProjectionTokenizer.create(seed, enc["patch_dim"], enc["hidden"], enc["codebook_size"])
+
+
+def ensure_token_dump(
+    workdir: Path, manifest: Manifest, featurizer: Featurizer,
+    tokenizer: RandomProjectionTokenizer | LearnedTokenizer, meta: dict,
+) -> dict[str, np.ndarray]:
+    """The corpus tokens from ``workdir/tokens.bin``, which is rewritten unless its
+    sidecar records this tokenizer's codebook hash and ``meta`` as its config."""
+    bin_path, sidecar = workdir / "tokens.bin", workdir / "tokens.json"
+    cb_hash = tokenizer.codebook.content_hash()
+    found = json.loads(sidecar.read_text()) if bin_path.exists() and sidecar.exists() else {}
+    if (found.get("codebook_hash"), found.get("config")) != (cb_hash, meta):
+        if isinstance(tokenizer, RandomProjectionTokenizer):
+            tokens = tokenize_corpus_random(manifest, featurizer, tokenizer)
+        else:
+            tokens = tokenize_corpus_learned(manifest, featurizer, tokenizer)
+        write_token_dump(bin_path, sidecar, tokens, cb_hash, meta)
+    return read_token_dump(bin_path, sidecar)[0]
+
+
+# -- the stage runner ---------------------------------------------------------------
+
+
+class _Stage(NamedTuple):
+    """What ``_run_stage`` needs of a stage: ``model`` (trained, saved as
+    ``model.<name>``), ``loss(step, batch)`` -> (scaled loss graph, log fields),
+    ``state()`` (further tensors to save) and the final checkpoint's extras."""
+
+    model: Module
+    loss: Callable[[int, PatchBatch], tuple[Tensor, dict]]
+    state: Callable[[], dict[str, np.ndarray]]
+    final_extra: dict
+
+
+def _truncate_log(path: Path, step: int) -> None:
+    """Keep the leading rows of steps up to ``step`` (none on a fresh start), so
+    that a resumed or re-run stage logs each step exactly once."""
+    if path.exists():
+        rows = path.read_text().splitlines(keepends=True)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text("".join(itertools.takewhile(lambda r: json.loads(r)["step"] <= step, rows)))
+        os.replace(tmp, path)
+
+
+def _run_stage(config, schedule, manifest, featurizer, workdir, names, setup) -> Path:
+    """Train one stage to ``schedule["updates"]`` steps; resumable; returns the final checkpoint.
+
+    ``names`` are the final checkpoint, resume checkpoint and log in ``workdir``;
+    ``schedule`` is the config section holding ``updates``, ``warmup``, ``peak_lr``
+    and ``batch_seconds``. ``setup(resumed)`` builds the stage from the resume
+    checkpoint's tensors (None on a fresh start); the runner then loads the
+    model parameters and optimizer state from them.
+    """
+    workdir = Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    final_path, latest_path, log_path = (workdir / name for name in names)
+    if final_path.exists() and verify_config_hash(final_path, config):
+        return final_path
+
+    seed = int(config["seed"])
+    tr = config["training"]
+    step, epoch, batch_idx = 0, 0, 0
+    tensors = extra = None
+    if latest_path.exists() and verify_config_hash(latest_path, config):
+        _, tensors, extra = load_checkpoint(latest_path)
+    stage = setup(tensors)
+    params = stage.model.parameters()
+    opt = AdamW(params, beta1=tr["beta1"], beta2=tr["beta2"], eps=tr["eps"], weight_decay=tr["weight_decay"])
+    if tensors is not None:
+        stage.model.load_arrays(tensors, prefix="model.")
+        opt.load_state(tensors, extra["opt_step"])
+        step, epoch, batch_idx = extra["step"], extra["epoch"], extra["batch_idx"]
+    _truncate_log(log_path, step)
+
+    def saved_tensors() -> dict[str, np.ndarray]:
+        return {**{f"model.{k}": p.data for k, p in params.items()}, **stage.state()}
+
+    total = int(schedule["updates"])
+    plan = batch_iterator(manifest, schedule["batch_seconds"], seed, start_epoch=epoch)
+    remaining = (item for item in plan if item.epoch > epoch or item.index >= batch_idx)
+    for item in itertools.islice(remaining, total - step):
+        t0 = time.perf_counter()
+        step += 1
+        batch = featurizer.collate(item.rows)
+        stage.model.zero_grad()
+        loss, fields = stage.loss(step, batch)
+        T.backward(loss)
+        lr = lr_at(step, schedule["warmup"], schedule["peak_lr"], total, tr["decay_shape"])
+        opt.step(lr)
+
+        if step % tr["log_every"] == 0 or step == total:
+            row = {"step": step, "loss": float(loss.item()), **fields, "lr": lr}
+            _append_log(log_path, {**row, "wall_ms": (time.perf_counter() - t0) * 1000.0})
+        if step % tr["checkpoint_every"] == 0 and step < total:
+            position = {"step": step, "epoch": item.epoch, "batch_idx": item.index + 1, "opt_step": opt.step_count}
+            save_checkpoint(latest_path, config, {**saved_tensors(), **opt.state_arrays()}, extra=position)
+
+    save_checkpoint(final_path, config, saved_tensors(), extra={"step": step, **stage.final_extra})
+    return final_path
+
+
 # -- encoder pre-training ---------------------------------------------------------
 
 
@@ -118,93 +237,29 @@ def pretrain_encoder(
     stage_tag: int = 1,
 ) -> Path:
     """Masked-token-prediction training; resumable; returns the final checkpoint."""
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    final_path = workdir / "encoder.ckpt"
-    latest_path = workdir / "latest.ckpt"
-    log_path = workdir / "train.log.jsonl"
-    if final_path.exists() and verify_config_hash(final_path, config):
-        return final_path
-
     seed = int(config["seed"])
     tr = config["training"]
-    enc_cfg = EncoderConfig.from_dict(config["encoder"])
-    model = EncoderModel(enc_cfg, derive_rng(seed, "encoder-init", stage_tag))
-    params = model.parameters()
-    opt = AdamW(
-        params,
-        beta1=tr["beta1"],
-        beta2=tr["beta2"],
-        eps=tr["eps"],
-        weight_decay=tr["weight_decay"],
-    )
 
-    step, epoch, batch_idx = 0, 0, 0
-    if latest_path.exists() and verify_config_hash(latest_path, config):
-        _, tensors, extra = load_checkpoint(latest_path)
-        model.load_arrays(tensors, prefix="model.")
-        opt.load_state(tensors, extra["opt_step"])
-        step, epoch, batch_idx = extra["step"], extra["epoch"], extra["batch_idx"]
+    def setup(resumed) -> _Stage:
+        model = EncoderModel(
+            EncoderConfig.from_dict(config["encoder"]), derive_rng(seed, "encoder-init", stage_tag)
+        )
 
-    total = int(tr["updates"])
-    while step < total:
-        batches, _ = epoch_batches(manifest, tr["batch_seconds"], seed, epoch)
-        while batch_idx < len(batches) and step < total:
-            t0 = time.perf_counter()
-            step += 1
-            batch = featurizer.collate(batches[batch_idx])
+        def loss(step: int, batch: PatchBatch) -> tuple[Tensor, dict]:
             masked = batch_masks(batch, tr["mask_ratio"], derive_rng(seed, "mask", stage_tag, step))
             masked &= batch.valid
             tokens = tokens_to_batch(batch, token_lookup)
-
-            model.zero_grad()
             logits, _ = model.forward(
                 batch.patches, batch.time_ids, batch.freq_ids, valid=batch.valid, masked=masked
             )
-            n_masked = int(masked.sum())
-            loss = mlm_loss(logits, tokens, masked) * (1.0 / n_masked)
-            T.backward(loss)
-            lr = lr_at(step, tr["warmup"], tr["peak_lr"], total, tr["decay_shape"])
-            opt.step(lr)
-
             acc, cov = mlm_metrics(logits.data, tokens, masked, batch.valid)
-            if step % tr["log_every"] == 0 or step == total:
-                _append_log(
-                    log_path,
-                    {
-                        "step": step,
-                        "loss": float(loss.item()),
-                        "masked_acc": acc,
-                        "vocab_coverage": cov,
-                        "lr": lr,
-                        "wall_ms": (time.perf_counter() - t0) * 1000.0,
-                    },
-                )
-            batch_idx += 1
-            if step % tr["checkpoint_every"] == 0 and step < total:
-                _save_encoder_state(latest_path, config, model, opt, step, epoch, batch_idx)
-        if batch_idx >= len(batches):
-            epoch += 1
-            batch_idx = 0
+            scaled = mlm_loss(logits, tokens, masked) * (1.0 / int(masked.sum()))
+            return scaled, {"masked_acc": acc, "vocab_coverage": cov}
 
-    save_checkpoint(
-        final_path,
-        config,
-        {f"model.{k}": p.data for k, p in params.items()},
-        extra={"step": step, "stage_tag": stage_tag},
-    )
-    return final_path
+        return _Stage(model, loss, lambda: {}, {"stage_tag": stage_tag})
 
-
-def _save_encoder_state(path, config, model, opt, step, epoch, batch_idx):
-    tensors = {f"model.{k}": p.data for k, p in model.parameters().items()}
-    tensors.update(opt.state_arrays())
-    save_checkpoint(
-        path,
-        config,
-        tensors,
-        extra={"step": step, "epoch": epoch, "batch_idx": batch_idx, "opt_step": opt.step_count},
-    )
+    names = ("encoder.ckpt", "latest.ckpt", "train.log.jsonl")
+    return _run_stage(config, tr, manifest, featurizer, workdir, names, setup)
 
 
 def encoder_from_checkpoint(path) -> tuple[EncoderModel, dict]:
@@ -246,97 +301,42 @@ def train_tokenizer_stage(
     stage_tag: int = 2,
 ) -> Path:
     """Distill the previous-iteration encoder into a quantizing tokenizer."""
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    final_path = workdir / "tokenizer.ckpt"
-    latest_path = workdir / "tokenizer.latest.ckpt"
-    log_path = workdir / "tokenizer.log.jsonl"
-    if final_path.exists() and verify_config_hash(final_path, config):
-        return final_path
-
-    teacher, _ = encoder_from_checkpoint(teacher_ckpt)
     seed = int(config["seed"])
     tok = config["tokenizer"]
-    net_cfg = _tokenizer_net_config(config)
-    init_rng = derive_rng(seed, "tokenizer-init", stage_tag)
-    encoder = TokenizerEncoder(net_cfg, init_rng)
-    predictor = TokenizerPredictor(net_cfg, init_rng)
-    params = {f"enc.{k}": v for k, v in encoder.parameters().items()}
-    params.update({f"pred.{k}": v for k, v in predictor.parameters().items()})
-    tr = config["training"]
-    opt = AdamW(params, beta1=tr["beta1"], beta2=tr["beta2"], eps=tr["eps"], weight_decay=tr["weight_decay"])
 
-    step, epoch, batch_idx = 0, 0, 0
-    codebook: Codebook | None = None
-    if latest_path.exists() and verify_config_hash(latest_path, config):
-        _, tensors, extra = load_checkpoint(latest_path)
-        encoder.load_arrays(tensors, prefix="model.enc.")
-        predictor.load_arrays(tensors, prefix="model.pred.")
-        opt.load_state(tensors, extra["opt_step"])
-        codebook = _codebook_from_tensors(tensors, tok["ema_decay"])
-        step, epoch, batch_idx = extra["step"], extra["epoch"], extra["batch_idx"]
-
-    if codebook is None:
-        codebook = _kmeans_codebook(
-            config, manifest, featurizer, encoder, derive_rng(seed, "kmeans", stage_tag)
-        )
-
-    total = int(tok["updates"])
-    while step < total:
-        batches, _ = epoch_batches(manifest, tok["batch_seconds"], seed, epoch)
-        while batch_idx < len(batches) and step < total:
-            t0 = time.perf_counter()
-            step += 1
-            batch = featurizer.collate(batches[batch_idx])
-            teacher_out = _teacher_embeddings(teacher, batch)
-
-            encoder.zero_grad()
-            predictor.zero_grad()
-            loss, stats = distill_step_graph(
-                encoder,
-                predictor,
-                codebook,
-                batch.patches,
-                batch.time_ids,
-                batch.freq_ids,
-                batch.valid,
-                teacher_out,
+    def setup(resumed) -> _Stage:
+        teacher, _ = encoder_from_checkpoint(teacher_ckpt)
+        net_cfg = _tokenizer_net_config(config)
+        init_rng = derive_rng(seed, "tokenizer-init", stage_tag)
+        # the saved parameter names are enc.* and pred.*
+        model = Module()
+        model.enc = TokenizerEncoder(net_cfg, init_rng)
+        model.pred = TokenizerPredictor(net_cfg, init_rng)
+        if resumed is None:
+            codebook = _kmeans_codebook(
+                config, manifest, featurizer, model.enc, derive_rng(seed, "kmeans", stage_tag)
             )
-            loss = loss * (1.0 / stats["n_valid"])
-            T.backward(loss)
-            lr = lr_at(step, tok["warmup"], tok["peak_lr"], total, tr["decay_shape"])
-            opt.step(lr)
-            ema_update(
-                codebook,
-                stats["vectors"],
-                stats["assignments"],
-                derive_rng(seed, "ema-reseed", stage_tag, step),
+        else:
+            codebook = _codebook_from_tensors(resumed, tok["ema_decay"])
+
+        def loss(step: int, batch: PatchBatch) -> tuple[Tensor, dict]:
+            summed, stats = distill_step_graph(
+                model.enc, model.pred, codebook, batch.patches, batch.time_ids, batch.freq_ids,
+                batch.valid, _teacher_embeddings(teacher, batch),
             )
+            # the graph holds copies of the codewords, so the EMA update may precede backward
+            reseed_rng = derive_rng(seed, "ema-reseed", stage_tag, step)
+            ema_update(codebook, stats["vectors"], stats["assignments"], reseed_rng)
+            fields = {
+                "perplexity": perplexity(stats["assignments"], codebook.size),
+                "teacher_cos": stats["teacher_cos"],
+            }
+            return summed * (1.0 / stats["n_valid"]), fields
 
-            if step % tr["log_every"] == 0 or step == total:
-                _append_log(
-                    log_path,
-                    {
-                        "step": step,
-                        "loss": float(loss.item()),
-                        "perplexity": perplexity(stats["assignments"], codebook.size),
-                        "teacher_cos": stats["teacher_cos"],
-                        "lr": lr,
-                        "wall_ms": (time.perf_counter() - t0) * 1000.0,
-                    },
-                )
-            batch_idx += 1
-            if step % tr["checkpoint_every"] == 0 and step < total:
-                _save_tokenizer_state(
-                    latest_path, config, encoder, predictor, codebook, opt, step, epoch, batch_idx
-                )
-        if batch_idx >= len(batches):
-            epoch += 1
-            batch_idx = 0
+        return _Stage(model, loss, lambda: _codebook_tensors(codebook), {"ema_decay": codebook.decay})
 
-    tensors = _tokenizer_tensors(encoder, predictor, codebook)
-    save_checkpoint(final_path, config, tensors, extra={"step": step, "ema_decay": codebook.decay})
-    return final_path
+    names = ("tokenizer.ckpt", "tokenizer.latest.ckpt", "tokenizer.log.jsonl")
+    return _run_stage(config, tok, manifest, featurizer, workdir, names, setup)
 
 
 def _kmeans_codebook(config, manifest, featurizer, encoder, rng) -> Codebook:
@@ -357,25 +357,13 @@ def _kmeans_codebook(config, manifest, featurizer, encoder, rng) -> Codebook:
     return kmeans_init(samples, config["encoder"]["codebook_size"], rng, decay=tok["ema_decay"])
 
 
-def _tokenizer_tensors(encoder, predictor, codebook) -> dict[str, np.ndarray]:
-    tensors = {f"model.enc.{k}": p.data for k, p in encoder.parameters().items()}
-    tensors.update({f"model.pred.{k}": p.data for k, p in predictor.parameters().items()})
-    tensors["codebook.codewords"] = codebook.codewords
-    tensors["codebook.ema_counts"] = codebook.ema_counts
-    tensors["codebook.ema_sums"] = codebook.ema_sums
-    tensors["codebook.stale"] = codebook.stale.astype(np.float32)
-    return tensors
-
-
-def _save_tokenizer_state(path, config, encoder, predictor, codebook, opt, step, epoch, batch_idx):
-    tensors = _tokenizer_tensors(encoder, predictor, codebook)
-    tensors.update(opt.state_arrays())
-    save_checkpoint(
-        path,
-        config,
-        tensors,
-        extra={"step": step, "epoch": epoch, "batch_idx": batch_idx, "opt_step": opt.step_count},
-    )
+def _codebook_tensors(codebook: Codebook) -> dict[str, np.ndarray]:
+    return {
+        "codebook.codewords": codebook.codewords,
+        "codebook.ema_counts": codebook.ema_counts,
+        "codebook.ema_sums": codebook.ema_sums,
+        "codebook.stale": codebook.stale.astype(np.float32),
+    }
 
 
 def _codebook_from_tensors(tensors: dict[str, np.ndarray], decay: float) -> Codebook:
@@ -492,28 +480,14 @@ def run_iteration_plan(config: dict, manifest_path, workdir) -> dict[str, Path]:
     stats = ensure_mel_stats(manifest_path, manifest)
     mean, std = audio.load_stats(stats)
     featurizer = Featurizer(manifest, mean, std)
-    seed = int(config["seed"])
-    enc = config["encoder"]
 
     artifacts: dict[str, Path] = {}
     iter1 = workdir / "iter1"
     iter1.mkdir(parents=True, exist_ok=True)
-    rproj = RandomProjectionTokenizer.create(
-        int(derive_rng(seed, "random-tokenizer").integers(2**31)),
-        enc["patch_dim"],
-        enc["hidden"],
-        enc["codebook_size"],
+    rproj = random_tokenizer(config)
+    token_lookup = ensure_token_dump(
+        iter1, manifest, featurizer, rproj, {"tokenizer": "random-projection", "seed": rproj.seed}
     )
-    token_bin, token_json = iter1 / "tokens.bin", iter1 / "tokens.json"
-    if not (token_bin.exists() and token_json.exists()):
-        tokens = tokenize_corpus_random(manifest, featurizer, rproj)
-        write_token_dump(
-            token_bin, token_json, tokens, rproj.codebook.content_hash(),
-            {"tokenizer": "random-projection", "seed": rproj.seed},
-        )
-    from .codebook import read_token_dump
-
-    token_lookup, _ = read_token_dump(token_bin, token_json)
     artifacts["E1"] = pretrain_encoder(config, manifest, featurizer, token_lookup, iter1, stage_tag=1)
 
     for r in range(2, iterations + 1):
@@ -527,14 +501,9 @@ def run_iteration_plan(config: dict, manifest_path, workdir) -> dict[str, Path]:
         )
         artifacts[f"T{r}"] = tok_ckpt
         tokenizer, _ = tokenizer_from_checkpoint(tok_ckpt)
-        token_bin, token_json = iterdir / "tokens.bin", iterdir / "tokens.json"
-        if not (token_bin.exists() and token_json.exists()):
-            tokens = tokenize_corpus_learned(manifest, featurizer, tokenizer)
-            write_token_dump(
-                token_bin, token_json, tokens, tokenizer.codebook.content_hash(),
-                {"tokenizer": "learned", "iteration": r},
-            )
-        token_lookup, _ = read_token_dump(token_bin, token_json)
+        token_lookup = ensure_token_dump(
+            iterdir, manifest, featurizer, tokenizer, {"tokenizer": "learned", "iteration": r}
+        )
         artifacts[f"E{r}"] = pretrain_encoder(
             config, manifest, featurizer, token_lookup, iterdir, stage_tag=r
         )

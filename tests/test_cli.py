@@ -53,6 +53,26 @@ class TestArgHandling:
                    "--workdir", str(tmp_path)])
         assert rc == EXIT_DATA
 
+    def test_too_few_kmeans_samples_exits_3(self, tmp_path, capsys):
+        # one 0.5 s clip holds 24 patches, fewer than K = 32
+        assert main(["synth-corpus", "--out", str(tmp_path / "c"), "--clips", "1",
+                     "--seconds", "0.5"]) == 0
+        manifest, work = str(tmp_path / "c" / "manifest.jsonl"), tmp_path / "run"
+        assert main(["pretrain", "--manifest", manifest, "--workdir", str(work),
+                     *_micro_overrides()]) == 0
+        rc = main(["train-tokenizer", "--manifest", manifest, "--workdir", str(work),
+                   "--teacher", str(work / "encoder.ckpt"), *_micro_overrides()])
+        assert rc == EXIT_DATA
+        assert "data error: k-means needs at least 32 samples" in capsys.readouterr().err
+
+    def test_clip_longer_than_position_table_exits_3(self, corpus_dir, tmp_path, capsys):
+        rc = main(["pretrain", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                   "--workdir", str(tmp_path), *_micro_overrides(),
+                   "--set", "encoder.max_time_patches=4"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "exceeds table size 4" in err
+
 
 class TestSynthAndManifest:
     def test_synth_corpus_layout(self, corpus_dir):

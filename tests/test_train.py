@@ -5,16 +5,16 @@ import pytest
 
 from audiomlm import audio
 from audiomlm import train as train_mod
-from audiomlm.codebook import RandomProjectionTokenizer, read_token_dump
+from audiomlm.codebook import read_token_dump
 from audiomlm.config import preset_config
 from audiomlm.data import Featurizer, ensure_mel_stats, load_manifest
 from audiomlm.errors import ContractError, PlanError
 from audiomlm.checkpoint import load_checkpoint
 from audiomlm.train import (
-    derive_rng,
     encoder_from_checkpoint,
     evaluate_mlm,
     pretrain_encoder,
+    random_tokenizer,
     run_iteration_plan,
     tokenize_corpus_random,
     tokenizer_from_checkpoint,
@@ -44,16 +44,37 @@ def corpus(small_tone_corpus):
 
 
 def _tokens(config, manifest, featurizer):
-    enc = config["encoder"]
-    rproj = RandomProjectionTokenizer.create(
-        int(derive_rng(config["seed"], "random-tokenizer").integers(2**31)),
-        enc["patch_dim"], enc["hidden"], enc["codebook_size"],
-    )
-    return tokenize_corpus_random(manifest, featurizer, rproj)
+    return tokenize_corpus_random(manifest, featurizer, random_tokenizer(config))
 
 
 def _log_rows(path):
     return [json.loads(l) for l in path.read_text().splitlines()]
+
+
+def _logged_steps(path):
+    return [r["step"] for r in _log_rows(path)]
+
+
+class Crash(RuntimeError):
+    pass
+
+
+class CrashingFeaturizer:
+    """Raises ``Crash`` on the ``crash_at``-th collate call."""
+
+    def __init__(self, inner, crash_at):
+        self.inner = inner
+        self.calls = 0
+        self.crash_at = crash_at
+
+    def collate(self, rows):
+        self.calls += 1
+        if self.calls == self.crash_at:
+            raise Crash()
+        return self.inner.collate(rows)
+
+    def patch_sequence(self, row):
+        return self.inner.patch_sequence(row)
 
 
 class TestPretrain:
@@ -89,24 +110,6 @@ class TestPretrain:
         tokens = _tokens(config, manifest, featurizer)
         full_ckpt = pretrain_encoder(config, manifest, featurizer, tokens, tmp_path / "full")
 
-        class Crash(RuntimeError):
-            pass
-
-        class CrashingFeaturizer:
-            def __init__(self, inner, crash_at):
-                self.inner = inner
-                self.calls = 0
-                self.crash_at = crash_at
-
-            def collate(self, rows):
-                self.calls += 1
-                if self.calls == self.crash_at:
-                    raise Crash()
-                return self.inner.collate(rows)
-
-            def patch_sequence(self, row):
-                return self.inner.patch_sequence(row)
-
         crashing = CrashingFeaturizer(featurizer, crash_at=5)
         with pytest.raises(Crash):
             pretrain_encoder(config, manifest, featurizer=crashing, token_lookup=tokens,
@@ -123,6 +126,7 @@ class TestPretrain:
         resumed_rows = {r["step"]: r for r in _log_rows(tmp_path / "resumed" / "train.log.jsonl")}
         for step in (5, 6):
             assert abs(full_rows[step]["loss"] - resumed_rows[step]["loss"]) < 1e-9
+        assert _logged_steps(tmp_path / "resumed" / "train.log.jsonl") == list(range(1, 7))
 
     def test_completed_stage_is_not_retrained(self, corpus, tmp_path):
         _, manifest, featurizer = corpus
@@ -163,6 +167,23 @@ class TestTokenizerStage:
         assert np.array_equal(tensors["codebook.codewords"], tokenizer.codebook.codewords)
         assert np.array_equal(tensors["codebook.ema_counts"], tokenizer.codebook.ema_counts)
 
+    def test_resume_matches_uninterrupted_run(self, corpus, tmp_path):
+        _, manifest, featurizer = corpus
+        config = micro_config(tok_updates=4)
+        tokens = _tokens(config, manifest, featurizer)
+        teacher = pretrain_encoder(config, manifest, featurizer, tokens, tmp_path / "e1")
+        full_ckpt = train_tokenizer_stage(config, manifest, featurizer, teacher, tmp_path / "full")
+
+        # collate 1 feeds k-means, so collate 5 is step 4, after the step-2 checkpoint
+        crashing = CrashingFeaturizer(featurizer, crash_at=5)
+        with pytest.raises(Crash):
+            train_tokenizer_stage(config, manifest, crashing, teacher, tmp_path / "resumed")
+        assert (tmp_path / "resumed" / "tokenizer.latest.ckpt").exists()
+        resumed_ckpt = train_tokenizer_stage(config, manifest, featurizer, teacher, tmp_path / "resumed")
+
+        assert resumed_ckpt.read_bytes() == full_ckpt.read_bytes()
+        assert _logged_steps(tmp_path / "resumed" / "tokenizer.log.jsonl") == [1, 2, 3, 4]
+
 
 class TestIterationPlan:
     def test_single_iteration_trains_one_encoder_no_tokenizer(self, corpus, tmp_path):
@@ -197,6 +218,18 @@ class TestIterationPlan:
         _, t2, _ = load_checkpoint(artifacts["E2"])
         # different stage seeds: weights must differ even before data effects
         assert not np.array_equal(t1["model.patch_proj.weight"], t2["model.patch_proj.weight"])
+
+    def test_rerun_with_new_seed_replaces_tokens_and_log(self, corpus, tmp_path):
+        manifest_path, _, _ = corpus
+        for seed in (0, 1):
+            config = micro_config()
+            config["plan"]["iterations"] = 1
+            config["seed"] = seed
+            run_iteration_plan(config, manifest_path, tmp_path / "plan")
+        iter1 = tmp_path / "plan" / "iter1"
+        _, meta = read_token_dump(iter1 / "tokens.bin", iter1 / "tokens.json")
+        assert meta["config"]["seed"] == random_tokenizer(config).seed
+        assert _logged_steps(iter1 / "train.log.jsonl") == list(range(1, config["training"]["updates"] + 1))
 
     def test_iteration_bounds(self, corpus, tmp_path):
         manifest_path, _, _ = corpus
