@@ -42,41 +42,53 @@ class MelSpectrogram:
 # -- WAV ----------------------------------------------------------------------
 
 
-def _read_exact(data: bytes, offset: int, count: int, what: str) -> bytes:
-    if offset + count > len(data):
+def _read_exact(f, offset: int, count: int, what: str) -> bytes:
+    f.seek(offset)
+    data = f.read(count)
+    if len(data) < count:
         raise WavParseError(f"truncated while reading {what}", offset)
-    return data[offset : offset + count]
+    return data
+
+
+def _wav_layout(f) -> tuple[tuple, int, int]:
+    """Walk the RIFF chunk headers of an open WAV file, seeking past chunk bodies.
+
+    Returns the fmt fields (format, channels, rate, byte rate, block align,
+    bits) and the offset and byte size of the data chunk's payload.
+    """
+    if _read_exact(f, 0, 4, "RIFF tag") != b"RIFF":
+        raise WavParseError("missing RIFF tag", 0)
+    if _read_exact(f, 8, 4, "WAVE tag") != b"WAVE":
+        raise WavParseError("missing WAVE tag", 8)
+    fmt = data = None
+    offset = 12
+    while True:
+        f.seek(offset)
+        header = f.read(8)
+        if len(header) < 8:
+            break
+        chunk_id, chunk_size = header[:4], struct.unpack("<I", header[4:])[0]
+        body_start = offset + 8
+        if chunk_id == b"fmt ":
+            body = _read_exact(f, body_start, min(chunk_size, 16), "fmt chunk")
+            if len(body) < 16:
+                raise WavParseError("fmt chunk shorter than 16 bytes", body_start)
+            fmt = struct.unpack("<HHIIHH", body)
+        elif chunk_id == b"data":
+            data = (body_start, chunk_size)
+        offset = body_start + chunk_size + (chunk_size & 1)
+    if fmt is None:
+        raise WavParseError("no fmt chunk found", 12)
+    if data is None:
+        raise WavParseError("no data chunk found", 12)
+    return fmt, *data
 
 
 def load_wav(path) -> Waveform:
     """Decode a RIFF/WAVE file (PCM16 or float32, mono or stereo, 16 kHz)."""
-    data = Path(path).read_bytes()
-    if _read_exact(data, 0, 4, "RIFF tag") != b"RIFF":
-        raise WavParseError("missing RIFF tag", 0)
-    if _read_exact(data, 8, 4, "WAVE tag") != b"WAVE":
-        raise WavParseError("missing WAVE tag", 8)
-
-    fmt = None
-    payload = None
-    offset = 12
-    while offset + 8 <= len(data):
-        chunk_id = data[offset : offset + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, offset + 4)
-        body_start = offset + 8
-        if chunk_id == b"fmt ":
-            body = _read_exact(data, body_start, min(chunk_size, 16), "fmt chunk")
-            if len(body) < 16:
-                raise WavParseError("fmt chunk shorter than 16 bytes", body_start)
-            fmt = struct.unpack("<HHIIHH", body[:16])
-        elif chunk_id == b"data":
-            payload = _read_exact(data, body_start, chunk_size, "data chunk")
-        offset = body_start + chunk_size + (chunk_size & 1)
-
-    if fmt is None:
-        raise WavParseError("no fmt chunk found", 12)
-    if payload is None:
-        raise WavParseError("no data chunk found", 12)
-
+    with open(path, "rb") as f:
+        fmt, data_offset, data_size = _wav_layout(f)
+        payload = _read_exact(f, data_offset, data_size, "data chunk")
     audio_format, channels, rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise AudioFormatError(f"unsupported channel count {channels} (mono or stereo only)")
@@ -100,24 +112,9 @@ def load_wav(path) -> Waveform:
 
 
 def wav_duration_seconds(path) -> float:
-    """Duration from header fields alone (no sample decode)."""
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavParseError("not a RIFF/WAVE file", 0)
-    fmt = None
-    data_size = None
-    offset = 12
-    while offset + 8 <= len(data):
-        chunk_id = data[offset : offset + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, offset + 4)
-        if chunk_id == b"fmt " and offset + 8 + 16 <= len(data):
-            fmt = struct.unpack_from("<HHIIHH", data, offset + 8)
-        elif chunk_id == b"data":
-            data_size = chunk_size
-        offset += 8 + chunk_size + (chunk_size & 1)
-    if fmt is None or data_size is None:
-        raise WavParseError("missing fmt or data chunk", 12)
-    _, channels, rate, _, block_align, _ = fmt
+    """Duration from header fields alone: reads the chunk headers, not the samples."""
+    with open(path, "rb") as f:
+        (_, _, rate, _, block_align, _), _, data_size = _wav_layout(f)
     if block_align == 0 or rate == 0:
         raise WavParseError("degenerate fmt fields", 12)
     return data_size / block_align / rate

@@ -122,17 +122,22 @@ def _featurizer_for(args, config):
     return manifest, Featurizer(manifest, mean, std, workers=args.workers)
 
 
+def _tokenizer_for(args, config):
+    """The ``--tokenizer`` choice and the token-dump meta that names it."""
+    from .train import random_tokenizer, tokenizer_from_checkpoint
+
+    if args.tokenizer == "random":
+        tokenizer = random_tokenizer(config)
+        return tokenizer, {"tokenizer": "random-projection", "seed": tokenizer.seed}
+    return tokenizer_from_checkpoint(args.tokenizer)[0], {"tokenizer": "learned", "source": str(args.tokenizer)}
+
+
 def _cmd_pretrain(args) -> int:
-    from .train import ensure_token_dump, pretrain_encoder, random_tokenizer, tokenizer_from_checkpoint
+    from .train import ensure_token_dump, pretrain_encoder
 
     config, workdir = _load_run(args)
     manifest, featurizer = _featurizer_for(args, config)
-    if args.tokenizer == "random":
-        tokenizer = random_tokenizer(config)
-        meta = {"tokenizer": "random-projection", "seed": tokenizer.seed}
-    else:
-        tokenizer, _ = tokenizer_from_checkpoint(args.tokenizer)
-        meta = {"tokenizer": "learned", "source": str(args.tokenizer)}
+    tokenizer, meta = _tokenizer_for(args, config)
     token_lookup = ensure_token_dump(workdir, manifest, featurizer, tokenizer, meta)
     ckpt = pretrain_encoder(config, manifest, featurizer, token_lookup, workdir)
     _emit(args, {"checkpoint": str(ckpt), "log": str(workdir / "train.log.jsonl")})
@@ -205,12 +210,8 @@ def _cmd_extract(args) -> int:
     prefix = Path(args.out) if args.out else workdir / "embeddings"
     embeddings = {}
     for row in manifest.rows:
-        seq = featurizer.patch_sequence(row)
-        from .patches import patch_position_ids
-
-        t_ids, f_ids = patch_position_ids(len(seq))
-        emb, _ = model.extract(seq.patches[None], t_ids[None], f_ids[None])
-        embeddings[row.id] = emb[0]
+        clip = featurizer.collate([row])
+        embeddings[row.id] = model.extract(clip.patches, clip.time_ids, clip.freq_ids)[0][0]
     bin_path, index_path = prefix.with_suffix(".bin"), prefix.with_suffix(".json")
     write_embedding_dump(bin_path, index_path, embeddings)
     _emit(args, {"embeddings": str(bin_path), "index": str(index_path)})
@@ -221,46 +222,35 @@ def _cmd_inspect_codebook(args) -> int:
     import numpy as np
 
     from .audio import SAMPLE_RATE, MelSpectrogram, mel_spectrogram, Waveform
-    from .codebook import coverage, nearest_neighbor_margins, perplexity
+    from .codebook import coverage, nearest_neighbor_margins, perplexity, quantize_batch
+    from .data import collate_sequences
     from .patches import patchify
-    from .train import random_tokenizer, tokenizer_from_checkpoint
 
     config, workdir = _load_run(args)
-
     if args.manifest:
         manifest, featurizer = _featurizer_for(args, config)
-        patch_list = [featurizer.patch_sequence(r).patches for r in manifest.rows]
+        clips = [featurizer.collate([row]) for row in manifest.rows]
     else:
         rng = np.random.default_rng(config["seed"])
-        patch_list = []
-        for _ in range(16):
+        clips = []
+        for i in range(16):
             noise = 0.25 * rng.standard_normal(2 * SAMPLE_RATE)
             mel = mel_spectrogram(Waveform(noise.astype(np.float32), SAMPLE_RATE))
             frames = (mel.frames - mel.frames.mean(axis=0)) / np.maximum(mel.frames.std(axis=0), 1e-3)
-            patch_list.append(patchify(MelSpectrogram(frames=frames)).patches)
-    patches = np.concatenate(patch_list, axis=0)
-
-    if args.tokenizer == "random":
-        tok = random_tokenizer(config)
-        assignments = tok.tokenize(patches)
-        codebook = tok.codebook
-        embeddings = patches @ tok.projection
-    else:
-        tokenizer, _ = tokenizer_from_checkpoint(args.tokenizer)
-        from .patches import patch_position_ids
-
-        n = patches.shape[0]
-        t_ids, f_ids = patch_position_ids(n)
-        embeddings = tokenizer.embed(patches[None], t_ids[None], f_ids[None])[0]
-        assignments = tokenizer.tokenize(patches[None], t_ids[None], f_ids[None])[0]
-        codebook = tokenizer.codebook
-
-    margins = nearest_neighbor_margins(embeddings.reshape(-1, codebook.width), codebook)
-    hist = np.bincount(assignments.reshape(-1), minlength=codebook.size)
+            clips.append(collate_sequences([f"noise{i}"], [patchify(MelSpectrogram(frames=frames))]))
+    tokenizer, _ = _tokenizer_for(args, config)
+    codebook = tokenizer.codebook
+    # each clip is embedded on its own, with its own positions
+    embeddings = np.concatenate(
+        [tokenizer.embed(c.patches, c.time_ids, c.freq_ids)[0] for c in clips], axis=0
+    )
+    assignments = quantize_batch(embeddings, codebook)
+    margins = nearest_neighbor_margins(embeddings, codebook)
+    hist = np.bincount(assignments, minlength=codebook.size)
     report = {
         "codebook_size": codebook.size,
-        "perplexity": perplexity(assignments.reshape(-1), codebook.size),
-        "coverage": coverage(assignments.reshape(-1), codebook.size),
+        "perplexity": perplexity(assignments, codebook.size),
+        "coverage": coverage(assignments, codebook.size),
         "used_entries": int((hist > 0).sum()),
         "usage_histogram": hist.tolist(),
         "margin_mean": float(margins.mean()),

@@ -1,5 +1,6 @@
 """Codebooks: normalized nearest-neighbor quantization, k-means init, EMA
-maintenance, and the frozen random-projection tokenizer used in iteration 1."""
+maintenance, the tokenizer interface, and the frozen random-projection
+tokenizer used in iteration 1."""
 
 from __future__ import annotations
 
@@ -56,6 +57,23 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, 1e-30)
 
 
+def _sq_distances(x: np.ndarray, y: np.ndarray, chunk: int = 2048):
+    """Yield (start, block): squared distances from rows ``x[start:start+chunk]``
+    to every row of ``y``, holding one (chunk, len(y), p) temporary at a time."""
+    for start in range(0, x.shape[0], chunk):
+        yield start, ((x[start : start + chunk, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+
+
+def _nearest(x: np.ndarray, y: np.ndarray, chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``x``: the index of its nearest row of ``y`` (lowest on ties)
+    and the squared distance to it."""
+    index, dist = np.empty(x.shape[0], dtype=np.int64), np.empty(x.shape[0])
+    for start, d in _sq_distances(x, y, chunk):
+        index[start : start + d.shape[0]] = np.argmin(d, axis=1)
+        dist[start : start + d.shape[0]] = d.min(axis=1)
+    return index, dist
+
+
 def quantize(e: np.ndarray, cb: Codebook) -> tuple[int, np.ndarray]:
     """Nearest codeword index under L2-normalized squared distance.
 
@@ -64,30 +82,16 @@ def quantize(e: np.ndarray, cb: Codebook) -> tuple[int, np.ndarray]:
     e = np.asarray(e, dtype=np.float64)
     if not np.all(np.isfinite(e)):
         raise DegenerateInputError("non-finite embedding passed to quantize")
-    norm = np.linalg.norm(e)
-    if norm == 0.0:
-        raise DegenerateInputError("zero-norm embedding has no nearest codeword")
-    ebar = e / norm
-    vbar = _normalize_rows(cb.codewords.astype(np.float64))
-    dists = ((vbar - ebar[None, :]) ** 2).sum(axis=1)
-    z = int(np.argmin(dists))
+    z = int(quantize_batch(e[None, :], cb)[0])
     return z, cb.codewords[z]
 
 
 def quantize_batch(embeddings: np.ndarray, cb: Codebook, chunk: int = 2048) -> np.ndarray:
-    """Vectorized quantize over rows; same arithmetic and tie rule as quantize."""
+    """Nearest codeword index per row under L2-normalized squared distance."""
     e = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(e, axis=1)
-    if np.any(norms == 0.0):
+    if np.any(np.linalg.norm(e, axis=1) == 0.0):
         raise DegenerateInputError("zero-norm embedding has no nearest codeword")
-    ebar = e / norms[:, None]
-    vbar = _normalize_rows(cb.codewords.astype(np.float64))
-    out = np.empty(e.shape[0], dtype=np.int64)
-    for start in range(0, e.shape[0], chunk):
-        block = ebar[start : start + chunk]
-        dists = ((block[:, None, :] - vbar[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.argmin(dists, axis=1)
-    return out
+    return _nearest(_normalize_rows(e), _normalize_rows(cb.codewords.astype(np.float64)), chunk)[0]
 
 
 def kmeans_init(
@@ -107,27 +111,25 @@ def kmeans_init(
 
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
     centroids[0] = x[rng.integers(m)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = _nearest(x, centroids[:1])[1]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             centroids[i] = x[rng.integers(m)]
         else:
             centroids[i] = x[rng.choice(m, p=d2 / total)]
-        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _nearest(x, centroids[i : i + 1])[1])
 
     assign = np.zeros(m, dtype=np.int64)
     for _ in range(max_iters):
-        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(dists, axis=1)
+        assign, nearest = _nearest(x, centroids)
         new_centroids = centroids.copy()
         for j in range(k):
             members = assign == j
             if members.any():
                 new_centroids[j] = x[members].mean(axis=0)
             else:
-                farthest = int(np.argmax(dists[np.arange(m), assign]))
-                new_centroids[j] = x[farthest]
+                new_centroids[j] = x[int(np.argmax(nearest))]
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
         if shift < tol:
@@ -202,16 +204,36 @@ def coverage(assignments: np.ndarray, k: int) -> float:
 
 def nearest_neighbor_margins(embeddings: np.ndarray, cb: Codebook) -> np.ndarray:
     """Per row: squared-distance gap between the second-best and best codeword."""
-    e = np.asarray(embeddings, dtype=np.float64)
-    ebar = _normalize_rows(e)
+    ebar = _normalize_rows(np.asarray(embeddings, dtype=np.float64))
     vbar = _normalize_rows(cb.codewords.astype(np.float64))
-    dists = ((ebar[:, None, :] - vbar[None, :, :]) ** 2).sum(axis=2)
-    part = np.partition(dists, 1, axis=1)
-    return part[:, 1] - part[:, 0]
+    out = np.empty(ebar.shape[0], dtype=np.float64)
+    for start, d in _sq_distances(ebar, vbar):
+        part = np.partition(d, 1, axis=1)
+        out[start : start + d.shape[0]] = part[:, 1] - part[:, 0]
+    return out
+
+
+class Tokenizer:
+    """An embedder plus a codebook: a patch's token is the index of the codeword
+    nearest to its embedding. Subclasses define ``embed`` and ``codebook``."""
+
+    codebook: Codebook
+
+    def embed(self, patches, time_ids=None, freq_ids=None, valid=None) -> np.ndarray:
+        raise NotImplementedError
+
+    def tokenize(self, patches, time_ids=None, freq_ids=None, valid=None) -> np.ndarray:
+        """Token per patch, shaped like ``patches`` without its last axis.
+        Positions where ``valid`` is False get token 0 and are not quantized."""
+        emb = self.embed(patches, time_ids, freq_ids, valid)
+        keep = np.ones(emb.shape[:-1], dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+        tokens = np.zeros(keep.shape, dtype=np.int64)
+        tokens[keep] = quantize_batch(emb[keep], self.codebook)
+        return tokens
 
 
 @dataclass
-class RandomProjectionTokenizer:
+class RandomProjectionTokenizer(Tokenizer):
     """Frozen Gaussian projection + frozen Gaussian codebook, fully seeded."""
 
     projection: np.ndarray  # (d, p) float32
@@ -227,10 +249,10 @@ class RandomProjectionTokenizer:
         codewords = rng.standard_normal((k, width)).astype(np.float32)
         return cls(projection=projection, codebook=Codebook.from_codewords(codewords, 1.0), seed=seed)
 
-    def tokenize(self, patches: np.ndarray) -> np.ndarray:
-        """Token per patch row; patches are expected corpus-normalized."""
-        projected = np.asarray(patches, dtype=np.float32) @ self.projection
-        return quantize_batch(projected, self.codebook)
+    def embed(self, patches, time_ids=None, freq_ids=None, valid=None) -> np.ndarray:
+        """The projection of corpus-normalized patches; positions are ignored."""
+        x = np.asarray(patches, dtype=np.float32)
+        return (x.reshape(-1, x.shape[-1]) @ self.projection).reshape(*x.shape[:-1], -1)
 
 
 # -- token dumps ----------------------------------------------------------------

@@ -3,8 +3,10 @@ variable-length batch assembly."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -391,20 +393,36 @@ def stats_path_for(manifest_path) -> Path:
     return p.with_name(p.stem + ".stats.json")
 
 
+def corpus_identity(manifest: Manifest) -> str:
+    """Hash of each row's id, absolute path, byte size and modification time:
+    one ``stat`` per file, no reads. Moving or touching a file changes it."""
+    h = hashlib.sha256()
+    for row in manifest.rows:
+        path = os.path.abspath(manifest.resolve(row))
+        st = os.stat(path)
+        h.update(f"{row.id}\t{path}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
+    return h.hexdigest()
+
+
 def compute_mel_stats(manifest: Manifest, out_path) -> Path:
+    """Write the corpus's per-bin mel mean/std, with its identity under ``corpus``."""
     def frames_iter():
         for row in manifest.rows:
             yield mel_spectrogram(load_wav(manifest.resolve(row))).frames
 
     stats = audio.accumulate_mel_stats(frames_iter())
-    audio.save_stats(stats, out_path)
+    audio.save_stats({**stats, "corpus": corpus_identity(manifest)}, out_path)
     return Path(out_path)
 
 
 def ensure_mel_stats(manifest_path, manifest: Manifest | None = None) -> Path:
+    """The stats file beside the manifest, recomputed unless it records this
+    corpus's identity."""
     path = stats_path_for(manifest_path)
-    if not path.exists():
-        compute_mel_stats(manifest or load_manifest(manifest_path), path)
+    if manifest is None:
+        manifest = load_manifest(manifest_path)
+    if not path.exists() or json.loads(path.read_text()).get("corpus") != corpus_identity(manifest):
+        compute_mel_stats(manifest, path)
     return path
 
 
@@ -463,27 +481,30 @@ class Featurizer:
                 seqs = list(pool.map(self.patch_sequence, rows))
         else:
             seqs = [self.patch_sequence(r) for r in rows]
-        n_max = max(len(s) for s in seqs)
-        b = len(seqs)
-        patches = np.zeros((b, n_max, seqs[0].patches.shape[1]), dtype=np.float32)
-        valid = np.zeros((b, n_max), dtype=bool)
-        time_ids = np.zeros((b, n_max), dtype=np.int64)
-        freq_ids = np.zeros((b, n_max), dtype=np.int64)
-        for i, seq in enumerate(seqs):
-            n = len(seq)
-            patches[i, :n] = seq.patches
-            valid[i, :n] = True
-            t_ids, f_ids = patch_position_ids(n)
-            time_ids[i, :n] = t_ids
-            freq_ids[i, :n] = f_ids
-        return PatchBatch(
-            ids=[r.id for r in rows],
-            patches=patches,
-            valid=valid,
-            time_ids=time_ids,
-            freq_ids=freq_ids,
-            n_patches=[len(s) for s in seqs],
-        )
+        return collate_sequences([r.id for r in rows], seqs)
+
+
+def collate_sequences(ids: list[str], seqs: list[PatchSequence]) -> PatchBatch:
+    """Zero-pad patch sequences into one batch with their position ids."""
+    n_max = max(len(s) for s in seqs)
+    b = len(seqs)
+    patches = np.zeros((b, n_max, seqs[0].patches.shape[1]), dtype=np.float32)
+    valid = np.zeros((b, n_max), dtype=bool)
+    time_ids = np.zeros((b, n_max), dtype=np.int64)
+    freq_ids = np.zeros((b, n_max), dtype=np.int64)
+    for i, seq in enumerate(seqs):
+        n = len(seq)
+        patches[i, :n] = seq.patches
+        valid[i, :n] = True
+        time_ids[i, :n], freq_ids[i, :n] = patch_position_ids(n)
+    return PatchBatch(
+        ids=list(ids),
+        patches=patches,
+        valid=valid,
+        time_ids=time_ids,
+        freq_ids=freq_ids,
+        n_patches=[len(s) for s in seqs],
+    )
 
 
 def _bucket_of(duration: float) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .codebook import Codebook, quantize_batch
+from .codebook import Codebook, Tokenizer, quantize_batch
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .nn import Embedding, Linear, Module, TransformerStack, padding_bias
 from .patches import FREQ_PATCHES
@@ -78,7 +78,7 @@ class TokenizerPredictor(Module):
         return self.stack(x, padding_bias(valid) if valid is not None else None)
 
 
-class LearnedTokenizer:
+class LearnedTokenizer(Tokenizer):
     """Frozen artifact of tokenizer training: f^t + codebook (+ predictor)."""
 
     def __init__(
@@ -102,21 +102,6 @@ class LearnedTokenizer:
     ) -> np.ndarray:
         with T.no_grad():
             return self.encoder(patches, time_ids, freq_ids, valid).data
-
-    def tokenize(
-        self,
-        patches: np.ndarray,
-        time_ids: np.ndarray,
-        freq_ids: np.ndarray,
-        valid: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Token ids (B, N); padded positions get token 0."""
-        emb = self.embed(patches, time_ids, freq_ids, valid)
-        b, n, p = emb.shape
-        tokens = quantize_batch(emb.reshape(-1, p), self.codebook).reshape(b, n)
-        if valid is not None:
-            tokens = np.where(valid, tokens, 0)
-        return tokens
 
 
 def _normalize_np(x: np.ndarray) -> np.ndarray:

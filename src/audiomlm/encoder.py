@@ -50,11 +50,6 @@ class EncoderModel(Module):
             raise ShapeError(
                 f"expected (B,N,{self.config.patch_dim}) patches, got {patches.shape}"
             )
-        if np.max(time_ids) >= self.config.max_time_patches:
-            raise ShapeError(
-                f"time patch index {int(np.max(time_ids))} exceeds table size "
-                f"{self.config.max_time_patches}"
-            )
         x = self.patch_proj(Tensor(patches))
         if masked is not None and masked.any():
             blend = masked.astype(np.float32)[..., None]

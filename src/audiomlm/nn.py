@@ -90,6 +90,11 @@ class Embedding(Module):
         )
 
     def __call__(self, ids: np.ndarray) -> Tensor:
+        """Rows ``table[ids]``; an id past the table (a clip longer than the
+        position table) is a ``ShapeError``."""
+        n_rows = self.table.shape[0]
+        if np.size(ids) and np.max(ids) >= n_rows:
+            raise ShapeError(f"position index {int(np.max(ids))} exceeds table size {n_rows}")
         return T.embedding(self.table, ids)
 
 

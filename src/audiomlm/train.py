@@ -17,23 +17,24 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint, verify_config_hash
+from .checkpoint import load_checkpoint, save_checkpoint
 from .codebook import (
     Codebook,
     RandomProjectionTokenizer,
+    Tokenizer,
     ema_update,
     kmeans_init,
     perplexity,
-    quantize_batch,
     read_token_dump,
     write_token_dump,
 )
-from .config import EncoderConfig
+from .config import EncoderConfig, config_hash
 from .data import (
     Featurizer,
     Manifest,
     PatchBatch,
     batch_iterator,
+    corpus_identity,
     epoch_batches,
     ensure_mel_stats,
     load_manifest,
@@ -93,30 +94,17 @@ def tokens_to_batch(batch: PatchBatch, token_lookup: dict[str, np.ndarray]) -> n
     return tokens
 
 
-def tokenize_corpus_random(
-    manifest: Manifest, featurizer: Featurizer, tokenizer: RandomProjectionTokenizer
-) -> dict[str, np.ndarray]:
-    return {
-        row.id: tokenizer.tokenize(featurizer.patch_sequence(row).patches).astype(np.uint32)
-        for row in manifest.rows
-    }
-
-
-def tokenize_corpus_learned(
-    manifest: Manifest, featurizer: Featurizer, tokenizer: LearnedTokenizer
-) -> dict[str, np.ndarray]:
+def tokenize_corpus(manifest: Manifest, featurizer: Featurizer, tokenizer: Tokenizer) -> dict[str, np.ndarray]:
+    """Tokens per manifest row, one clip at a time."""
     out: dict[str, np.ndarray] = {}
     for row in manifest.rows:
-        seq = featurizer.patch_sequence(row)
-        n = len(seq)
-        from .patches import patch_position_ids
-
-        t_ids, f_ids = patch_position_ids(n)
-        tokens = tokenizer.tokenize(
-            seq.patches[None, :, :], t_ids[None, :], f_ids[None, :], np.ones((1, n), bool)
-        )
-        out[row.id] = tokens[0].astype(np.uint32)
+        clip = featurizer.collate([row])
+        out[row.id] = tokenizer.tokenize(clip.patches, clip.time_ids, clip.freq_ids)[0].astype(np.uint32)
     return out
+
+
+# the benchmark (perfbench/) calls and traces the pass under both names
+tokenize_corpus_random = tokenize_corpus_learned = tokenize_corpus
 
 
 def random_tokenizer(config: dict) -> RandomProjectionTokenizer:
@@ -127,20 +115,17 @@ def random_tokenizer(config: dict) -> RandomProjectionTokenizer:
 
 
 def ensure_token_dump(
-    workdir: Path, manifest: Manifest, featurizer: Featurizer,
-    tokenizer: RandomProjectionTokenizer | LearnedTokenizer, meta: dict,
+    workdir: Path, manifest: Manifest, featurizer: Featurizer, tokenizer: Tokenizer, meta: dict,
 ) -> dict[str, np.ndarray]:
     """The corpus tokens from ``workdir/tokens.bin``, which is rewritten unless its
-    sidecar records this tokenizer's codebook hash and ``meta`` as its config."""
+    sidecar records this tokenizer's codebook hash and, as its config, ``meta``
+    plus the corpus identity."""
     bin_path, sidecar = workdir / "tokens.bin", workdir / "tokens.json"
     cb_hash = tokenizer.codebook.content_hash()
+    meta = {**meta, "corpus": corpus_identity(manifest)}
     found = json.loads(sidecar.read_text()) if bin_path.exists() and sidecar.exists() else {}
     if (found.get("codebook_hash"), found.get("config")) != (cb_hash, meta):
-        if isinstance(tokenizer, RandomProjectionTokenizer):
-            tokens = tokenize_corpus_random(manifest, featurizer, tokenizer)
-        else:
-            tokens = tokenize_corpus_learned(manifest, featurizer, tokenizer)
-        write_token_dump(bin_path, sidecar, tokens, cb_hash, meta)
+        write_token_dump(bin_path, sidecar, tokenize_corpus(manifest, featurizer, tokenizer), cb_hash, meta)
     return read_token_dump(bin_path, sidecar)[0]
 
 
@@ -168,6 +153,17 @@ def _truncate_log(path: Path, step: int) -> None:
         os.replace(tmp, path)
 
 
+def _written_by(path: Path, config: dict, corpus: str):
+    """The checkpoint's (tensors, extra) when it exists and was written with this
+    config on this corpus, else None."""
+    if not path.exists():
+        return None
+    stored, tensors, extra = load_checkpoint(path)
+    if config_hash(stored) == config_hash(config) and extra.get("corpus") == corpus:
+        return tensors, extra
+    return None
+
+
 def _run_stage(config, schedule, manifest, featurizer, workdir, names, setup) -> Path:
     """Train one stage to ``schedule["updates"]`` steps; resumable; returns the final checkpoint.
 
@@ -180,15 +176,14 @@ def _run_stage(config, schedule, manifest, featurizer, workdir, names, setup) ->
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     final_path, latest_path, log_path = (workdir / name for name in names)
-    if final_path.exists() and verify_config_hash(final_path, config):
+    corpus = corpus_identity(manifest)
+    if _written_by(final_path, config, corpus) is not None:
         return final_path
 
     seed = int(config["seed"])
     tr = config["training"]
     step, epoch, batch_idx = 0, 0, 0
-    tensors = extra = None
-    if latest_path.exists() and verify_config_hash(latest_path, config):
-        _, tensors, extra = load_checkpoint(latest_path)
+    tensors, extra = _written_by(latest_path, config, corpus) or (None, None)
     stage = setup(tensors)
     params = stage.model.parameters()
     opt = AdamW(params, beta1=tr["beta1"], beta2=tr["beta2"], eps=tr["eps"], weight_decay=tr["weight_decay"])
@@ -219,9 +214,10 @@ def _run_stage(config, schedule, manifest, featurizer, workdir, names, setup) ->
             _append_log(log_path, {**row, "wall_ms": (time.perf_counter() - t0) * 1000.0})
         if step % tr["checkpoint_every"] == 0 and step < total:
             position = {"step": step, "epoch": item.epoch, "batch_idx": item.index + 1, "opt_step": opt.step_count}
-            save_checkpoint(latest_path, config, {**saved_tensors(), **opt.state_arrays()}, extra=position)
+            save_checkpoint(latest_path, config, {**saved_tensors(), **opt.state_arrays()},
+                            extra={**position, "corpus": corpus})
 
-    save_checkpoint(final_path, config, saved_tensors(), extra={"step": step, **stage.final_extra})
+    save_checkpoint(final_path, config, saved_tensors(), extra={"step": step, **stage.final_extra, "corpus": corpus})
     return final_path
 
 
@@ -445,14 +441,11 @@ def evaluate_tokenizer_cosine(
     for i in range(0, len(rows), batch_clips):
         batch = featurizer.collate(rows[i : i + batch_clips])
         teacher_out = _teacher_embeddings(teacher, batch)
+        z = tokenizer.tokenize(batch.patches, batch.time_ids, batch.freq_ids, batch.valid)
         with T.no_grad():
-            emb = tokenizer.encoder(batch.patches, batch.time_ids, batch.freq_ids, batch.valid)
-            b, n, p = emb.data.shape
-            z = quantize_batch(emb.data.reshape(-1, p), tokenizer.codebook)
-            q = tokenizer.codebook.codewords[z].reshape(b, n, p)
-            pred = tokenizer.predictor(
-                Tensor(q), batch.time_ids, batch.freq_ids, batch.valid
-            ).data
+            q = Tensor(tokenizer.codebook.codewords[z])
+            pred = tokenizer.predictor(q, batch.time_ids, batch.freq_ids, batch.valid).data
+        p = pred.shape[-1]
         v = batch.valid.reshape(-1)
         cos.append(
             mean_teacher_cosine(pred.reshape(-1, p)[v], teacher_out.reshape(-1, p)[v])

@@ -88,6 +88,27 @@ class TestLoadWav:
         _write_raw_wav(p, np.zeros(8000, dtype="<i2").tobytes())
         assert abs(wav_duration_seconds(p) - 0.5) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["mono-pcm16", "stereo-pcm16", "float32", "odd-chunk-before-data"])
+    def test_duration_agrees_with_decoded_length(self, tmp_path, kind):
+        p = tmp_path / f"{kind}.wav"
+        pcm = np.arange(-1500, 1500, 3, dtype="<i2")
+        if kind == "mono-pcm16":
+            _write_raw_wav(p, pcm.tobytes())
+        elif kind == "stereo-pcm16":
+            _write_raw_wav(p, pcm.tobytes(), fmt=(1, 2, 16000, 64000, 4, 16))
+        elif kind == "float32":
+            _write_raw_wav(p, (pcm / 32768.0).astype("<f4").tobytes(), fmt=(3, 1, 16000, 64000, 4, 32))
+        else:
+            # a 3-byte LIST chunk is followed by its pad byte
+            payload = pcm.tobytes()
+            body = b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)
+            body += b"LIST" + struct.pack("<I", 3) + b"abc\x00"
+            body += b"data" + struct.pack("<I", len(payload)) + payload
+            p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        samples = load_wav(p).samples
+        assert samples.size > 0
+        assert wav_duration_seconds(p) == len(samples) / 16000
+
 
 class TestMelSpectrogram:
     def test_one_second_gives_98_frames(self):

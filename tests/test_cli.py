@@ -1,8 +1,16 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from audiomlm import audio
+from audiomlm.checkpoint import save_checkpoint
 from audiomlm.cli import EXIT_CONFIG, EXIT_DATA, main
+from audiomlm.config import resolve_config
+from audiomlm.data import Featurizer, ensure_mel_stats, load_manifest
+from audiomlm.distill import TokenizerEncoder, TokenizerNetConfig, TokenizerPredictor
+from audiomlm.train import tokenize_corpus, tokenizer_from_checkpoint
 
 
 def _micro_overrides():
@@ -21,6 +29,22 @@ def _micro_overrides():
         "--set", "tokenizer.batch_seconds=10.0",
         "--set", "tokenizer.kmeans_samples=256",
     ]
+
+
+def _learned_tokenizer_ckpt(path, *overrides):
+    """A seeded, untrained one-layer learned tokenizer under the tiny preset (64 wide, K = 32)."""
+    config = resolve_config("tiny", None, ["tokenizer.layers=1", "tokenizer.predictor_layers=1", *overrides], None)
+    enc = config["encoder"]
+    net = TokenizerNetConfig(width=enc["hidden"], ffn=enc["ffn"], layers=1, heads=enc["heads"],
+                             predictor_layers=1, codebook_size=enc["codebook_size"],
+                             max_time_patches=enc["max_time_patches"])
+    rng = np.random.default_rng(0)
+    tensors = {f"model.enc.{k}": v.data for k, v in TokenizerEncoder(net, rng).parameters().items()}
+    tensors.update({f"model.pred.{k}": v.data for k, v in TokenizerPredictor(net, rng).parameters().items()})
+    cw = rng.standard_normal((net.codebook_size, net.width)).astype(np.float32)
+    tensors.update({"codebook.codewords": cw, "codebook.ema_counts": np.ones(net.codebook_size, np.float32),
+                    "codebook.ema_sums": cw.copy(), "codebook.stale": np.zeros(net.codebook_size, np.float32)})
+    return save_checkpoint(path, config, tensors, extra={"step": 0, "ema_decay": 0.99})
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +96,16 @@ class TestArgHandling:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "exceeds table size 4" in err
+
+    def test_clip_longer_than_learned_tokenizer_table_exits_3(self, corpus_dir, tmp_path, capsys):
+        ckpt = _learned_tokenizer_ckpt(tmp_path / "tok.ckpt", "encoder.max_time_patches=4")
+        manifest = str(corpus_dir / "manifest.jsonl")
+        for command in ("pretrain", "inspect-codebook"):
+            rc = main([command, "--manifest", manifest, "--workdir", str(tmp_path / command),
+                       "--tokenizer", str(ckpt), *_micro_overrides()])
+            assert rc == EXIT_DATA, command
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "exceeds table size 4" in err
 
 
 class TestSynthAndManifest:
@@ -155,6 +189,24 @@ class TestPipelineCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["codebook_size"] == 32
         assert out["used_entries"] > 16  # white-noise usage spreads
+
+    def test_inspect_learned_tokenizer_tokenizes_per_clip(self, tmp_path, capsys):
+        # 20 clips of 5 s hold 620 time patches in all, more than the 512-row position table
+        assert main(["synth-corpus", "--out", str(tmp_path / "c"), "--clips", "20",
+                     "--seconds", "5", "--seed", "1"]) == 0
+        manifest_path = tmp_path / "c" / "manifest.jsonl"
+        ckpt = _learned_tokenizer_ckpt(tmp_path / "tok.ckpt")
+        capsys.readouterr()
+        rc = main(["inspect-codebook", "--manifest", str(manifest_path), "--workdir", str(tmp_path / "w"),
+                   "--tokenizer", str(ckpt)])
+        assert rc == 0
+        report = json.loads(Path(json.loads(capsys.readouterr().out)["report"]).read_text())
+
+        manifest = load_manifest(manifest_path)
+        featurizer = Featurizer(manifest, *audio.load_stats(ensure_mel_stats(manifest_path, manifest)))
+        tokens = tokenize_corpus(manifest, featurizer, tokenizer_from_checkpoint(ckpt)[0])
+        expected = np.bincount(np.concatenate(list(tokens.values())), minlength=32)
+        assert report["usage_histogram"] == expected.tolist()
 
     def test_finetune_command(self, corpus_dir, tmp_path, capsys):
         work = tmp_path / "ft"

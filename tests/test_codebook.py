@@ -10,6 +10,7 @@ from audiomlm.codebook import (
     coverage,
     ema_update,
     kmeans_init,
+    nearest_neighbor_margins,
     perplexity,
     quantize,
     quantize_batch,
@@ -66,6 +67,15 @@ class TestQuantize:
         batch = quantize_batch(emb, cb)
         singles = np.array([quantize(e, cb)[0] for e in emb])
         np.testing.assert_array_equal(batch, singles)
+
+    def test_chunking_does_not_change_results(self):
+        rng = np.random.default_rng(8)
+        cb = Codebook.from_codewords(rng.standard_normal((9, 5)), decay=0.9)
+        emb = rng.standard_normal((50, 5))
+        np.testing.assert_array_equal(quantize_batch(emb, cb, chunk=7), quantize_batch(emb, cb))
+        unit = lambda x: x / np.linalg.norm(x)
+        dists = np.sort([[((unit(v.astype(np.float64)) - unit(e)) ** 2).sum() for v in cb.codewords] for e in emb], axis=1)
+        np.testing.assert_allclose(nearest_neighbor_margins(emb, cb), dists[:, 1] - dists[:, 0], atol=1e-12)
 
     @given(st.integers(0, 10_000), st.floats(0.1, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -176,6 +186,18 @@ class TestDiagnostics:
 
 
 class TestRandomProjectionTokenizer:
+    def test_batched_tokens_match_bare_rows_and_padding_gets_zero(self):
+        tok = RandomProjectionTokenizer.create(4, 256, 64, 32)
+        patches = np.random.default_rng(2).standard_normal((2, 6, 256)).astype(np.float32)
+        valid = np.ones((2, 6), dtype=bool)
+        patches[1, 4:] = 0.0  # zero padding has no nearest codeword, so it must not be quantized
+        valid[1, 4:] = False
+        tokens = tok.tokenize(patches, valid=valid)
+        assert tokens.shape == (2, 6)
+        np.testing.assert_array_equal(tokens[0], tok.tokenize(patches[0]))
+        np.testing.assert_array_equal(tokens[1, :4], tok.tokenize(patches[1, :4]))
+        assert np.all(tokens[1, 4:] == 0)
+
     def test_identical_patches_identical_tokens(self):
         tok = RandomProjectionTokenizer.create(0, 256, 64, 32)
         patch = np.random.default_rng(0).standard_normal((1, 256)).astype(np.float32)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from audiomlm.data import (
     SyntheticCorpusSpec,
     batch_iterator,
     build_manifest,
+    corpus_identity,
     ensure_mel_stats,
     epoch_batches,
     generate_synthetic,
@@ -120,6 +122,24 @@ class TestStats:
         assert stats_path.parent == small_tone_corpus.parent
         obj = json.loads(stats_path.read_text())
         assert len(obj["mean"]) == 128 and len(obj["std"]) == 128
+
+    def test_stats_recomputed_when_a_wav_changes(self, tmp_path):
+        manifest_path = generate_synthetic(SyntheticCorpusSpec(4, 0.5, "filtered-noise-classes", 2, seed=1), tmp_path)
+        manifest = load_manifest(manifest_path)
+        stats_path = ensure_mel_stats(manifest_path, manifest)
+        first = json.loads(stats_path.read_text())
+        assert first["corpus"] == corpus_identity(manifest)
+        stamp = stats_path.stat().st_mtime_ns
+        assert ensure_mel_stats(manifest_path, manifest) == stats_path
+        assert stats_path.stat().st_mtime_ns == stamp  # same corpus: reused
+
+        wav = manifest.resolve(manifest.rows[0])
+        audio.write_wav_pcm16(wav, 0.5 * np.random.default_rng(9).standard_normal(8000))
+        st = wav.stat()
+        os.utime(wav, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        second = json.loads(ensure_mel_stats(manifest_path, manifest).read_text())
+        assert second["corpus"] == corpus_identity(manifest) != first["corpus"]
+        assert second["mean"] != first["mean"]
 
     def test_normalized_patches_roughly_standardized(self, small_tone_corpus):
         manifest, featurizer = _featurizer(small_tone_corpus)

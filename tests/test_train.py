@@ -7,7 +7,7 @@ from audiomlm import audio
 from audiomlm import train as train_mod
 from audiomlm.codebook import read_token_dump
 from audiomlm.config import preset_config
-from audiomlm.data import Featurizer, ensure_mel_stats, load_manifest
+from audiomlm.data import Featurizer, SyntheticCorpusSpec, ensure_mel_stats, generate_synthetic, load_manifest
 from audiomlm.errors import ContractError, PlanError
 from audiomlm.checkpoint import load_checkpoint
 from audiomlm.train import (
@@ -230,6 +230,19 @@ class TestIterationPlan:
         _, meta = read_token_dump(iter1 / "tokens.bin", iter1 / "tokens.json")
         assert meta["config"]["seed"] == random_tokenizer(config).seed
         assert _logged_steps(iter1 / "train.log.jsonl") == list(range(1, config["training"]["updates"] + 1))
+
+    def test_rerun_on_another_corpus_retokenizes_and_retrains(self, tmp_path):
+        # the same row ids and paths with new audio: tone corpus seed 7, then seed 8, in one workdir
+        config = micro_config()
+        config["plan"]["iterations"] = 1
+        for seed in (7, 8):
+            spec = SyntheticCorpusSpec(24, 1.5, "tone-sequence", 4, seed=seed)
+            manifest_path = generate_synthetic(spec, tmp_path / "corpus")
+            run_iteration_plan(config, manifest_path, tmp_path / "plan")
+        run_iteration_plan(config, manifest_path, tmp_path / "fresh")
+        for name in ("tokens.bin", "encoder.ckpt"):
+            reused, fresh = tmp_path / "plan" / "iter1" / name, tmp_path / "fresh" / "iter1" / name
+            assert reused.read_bytes() == fresh.read_bytes(), name
 
     def test_iteration_bounds(self, corpus, tmp_path):
         manifest_path, _, _ = corpus
