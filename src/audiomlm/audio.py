@@ -62,6 +62,7 @@ def _wav_layout(f) -> tuple[tuple, int, int]:
         raise WavParseError("missing WAVE tag", 8)
     fmt = data = None
     offset = 12
+    file_size = f.seek(0, 2)
     while True:
         f.seek(offset)
         header = f.read(8)
@@ -75,6 +76,8 @@ def _wav_layout(f) -> tuple[tuple, int, int]:
                 raise WavParseError("fmt chunk shorter than 16 bytes", body_start)
             fmt = struct.unpack("<HHIIHH", body)
         elif chunk_id == b"data":
+            if body_start + chunk_size > file_size:
+                raise WavParseError("data chunk runs past the end of the file", body_start)
             data = (body_start, chunk_size)
         offset = body_start + chunk_size + (chunk_size & 1)
     if fmt is None:

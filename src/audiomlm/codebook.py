@@ -57,20 +57,74 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, 1e-30)
 
 
-def _sq_distances(x: np.ndarray, y: np.ndarray, chunk: int = 2048):
-    """Yield (start, block): squared distances from rows ``x[start:start+chunk]``
-    to every row of ``y``, holding one (chunk, len(y), p) temporary at a time."""
+# Byte budget of one block of exactly rescored (row, codeword) pairs.
+RESCORE_BYTES = 1 << 24
+
+
+def _exact_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``((x - y) ** 2).sum(-1)`` row by row: the exact squared distance every
+    returned index and distance is decided by."""
+    d = x - y
+    np.square(d, out=d)
+    return d.sum(axis=-1)
+
+
+def _screen(x: np.ndarray, y: np.ndarray, chunk: int):
+    """Yield (start, block, slack) per ``chunk`` rows of ``x``: ``block`` holds
+    ``||x||^2 - 2 x.y + ||y||^2`` against every row of ``y`` through one GEMM,
+    and ``slack`` bounds, per row, how far any entry may lie from the distance
+    ``_exact_sq`` gives. With S = ||x||^2 + max ||y||^2, the screen is within
+    about (p + 2.5) eps S of the true distance and the exact sum within
+    (p + 2) eps S, whatever the summation order, so 2 (p + 4) eps S bounds
+    their gap."""
+    yy = np.einsum("ij,ij->i", y, y)
+    scale = 2.0 * (x.shape[1] + 4) * np.finfo(np.float64).eps
     for start in range(0, x.shape[0], chunk):
-        yield start, ((x[start : start + chunk, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        xc = x[start : start + chunk]
+        xx = np.einsum("ij,ij->i", xc, xc)
+        block = xc @ y.T
+        block *= -2.0
+        block += xx[:, None]
+        block += yy
+        yield start, block, scale * (xx + yy.max())
+
+
+def _rescore(x: np.ndarray, y: np.ndarray, candidates: np.ndarray):
+    """Exact distances of the (row, column) pairs where ``candidates`` is True,
+    taken row-major in blocks of at most ``RESCORE_BYTES``. Returns the pairs'
+    columns, their distances and the index of each row's first pair."""
+    rows, cols = np.nonzero(candidates)
+    dist = np.empty(rows.size)
+    step = max(1, RESCORE_BYTES // (8 * x.shape[1]))
+    for s in range(0, rows.size, step):
+        dist[s : s + step] = _exact_sq(x[rows[s : s + step]], y[cols[s : s + step]])
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return cols, dist, starts
+
+
+def _first_min(dist: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per group of ``dist`` (groups begin at ``starts``): the position of its
+    first minimum."""
+    sizes = np.diff(starts, append=dist.size)
+    at_min = dist == np.repeat(np.minimum.reduceat(dist, starts), sizes)
+    return np.minimum.reduceat(np.where(at_min, np.arange(dist.size), dist.size), starts)
 
 
 def _nearest(x: np.ndarray, y: np.ndarray, chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``x``: the index of its nearest row of ``y`` (lowest on ties)
-    and the squared distance to it."""
+    and the exact squared distance to it. Rows whose screened distances leave a
+    second candidate within twice the slack of the minimum are decided exactly."""
     index, dist = np.empty(x.shape[0], dtype=np.int64), np.empty(x.shape[0])
-    for start, d in _sq_distances(x, y, chunk):
-        index[start : start + d.shape[0]] = np.argmin(d, axis=1)
-        dist[start : start + d.shape[0]] = d.min(axis=1)
+    for start, block, slack in _screen(x, y, chunk):
+        xc = x[start : start + chunk]
+        best = np.argmin(block, axis=1)
+        candidates = block <= (block[np.arange(best.size), best] + 2.0 * slack)[:, None]
+        tied = np.count_nonzero(candidates, axis=1) > 1
+        if tied.any():
+            cols, exact, starts = _rescore(xc[tied], y, candidates[tied])
+            best[tied] = cols[_first_min(exact, starts)]
+        index[start : start + best.size] = best
+        dist[start : start + best.size] = _exact_sq(xc, y[best])
     return index, dist
 
 
@@ -94,6 +148,12 @@ def quantize_batch(embeddings: np.ndarray, cb: Codebook, chunk: int = 2048) -> n
     return _nearest(_normalize_rows(e), _normalize_rows(cb.codewords.astype(np.float64)), chunk)[0]
 
 
+def _sq_distance_to(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact squared distance from every row of ``x`` to the one point ``c``, in
+    256-row blocks, small enough to stay in cache."""
+    return np.concatenate([_exact_sq(x[s : s + 256], c) for s in range(0, x.shape[0], 256)])
+
+
 def kmeans_init(
     samples: np.ndarray,
     k: int,
@@ -111,25 +171,24 @@ def kmeans_init(
 
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
     centroids[0] = x[rng.integers(m)]
-    d2 = _nearest(x, centroids[:1])[1]
+    d2 = _sq_distance_to(x, centroids[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             centroids[i] = x[rng.integers(m)]
         else:
             centroids[i] = x[rng.choice(m, p=d2 / total)]
-        d2 = np.minimum(d2, _nearest(x, centroids[i : i + 1])[1])
+        d2 = np.minimum(d2, _sq_distance_to(x, centroids[i]))
 
     assign = np.zeros(m, dtype=np.int64)
     for _ in range(max_iters):
         assign, nearest = _nearest(x, centroids)
-        new_centroids = centroids.copy()
+        order = np.argsort(assign, kind="stable")
+        ends = np.cumsum(np.bincount(assign, minlength=k))
+        new_centroids = np.empty_like(centroids)
         for j in range(k):
-            members = assign == j
-            if members.any():
-                new_centroids[j] = x[members].mean(axis=0)
-            else:
-                new_centroids[j] = x[int(np.argmax(nearest))]
+            rows = order[ends[j - 1] if j else 0 : ends[j]]
+            new_centroids[j] = x[rows].mean(axis=0) if rows.size else x[int(np.argmax(nearest))]
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
         if shift < tol:
@@ -203,13 +262,20 @@ def coverage(assignments: np.ndarray, k: int) -> float:
 
 
 def nearest_neighbor_margins(embeddings: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Per row: squared-distance gap between the second-best and best codeword."""
+    """Per row: squared-distance gap between the second-best and best codeword.
+    The exact top two lie among the codewords whose screened distance is within
+    twice the slack of the second-smallest screened one."""
     ebar = _normalize_rows(np.asarray(embeddings, dtype=np.float64))
     vbar = _normalize_rows(cb.codewords.astype(np.float64))
     out = np.empty(ebar.shape[0], dtype=np.float64)
-    for start, d in _sq_distances(ebar, vbar):
-        part = np.partition(d, 1, axis=1)
-        out[start : start + d.shape[0]] = part[:, 1] - part[:, 0]
+    for start, block, slack in _screen(ebar, vbar, 2048):
+        second = np.partition(block, 1, axis=1)[:, 1]
+        candidates = block <= (second + 2.0 * slack)[:, None]
+        _, exact, starts = _rescore(ebar[start : start + block.shape[0]], vbar, candidates)
+        first = _first_min(exact, starts)
+        lowest = exact[first]
+        exact[first] = np.inf
+        out[start : start + block.shape[0]] = np.minimum.reduceat(exact, starts) - lowest
     return out
 
 

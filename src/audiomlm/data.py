@@ -71,11 +71,14 @@ class Manifest:
 
 
 def save_manifest(manifest: Manifest, path) -> Path:
+    """One JSON row per line, each path relative to the file's own directory,
+    which is where ``load_manifest`` resolves it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         for row in manifest.rows:
-            f.write(json.dumps(row.to_json()) + "\n")
+            rel = os.path.relpath(manifest.resolve(row), path.parent)
+            f.write(json.dumps({**row.to_json(), "path": rel}) + "\n")
     return path
 
 
@@ -415,13 +418,23 @@ def compute_mel_stats(manifest: Manifest, out_path) -> Path:
     return Path(out_path)
 
 
+def read_json_object(path) -> dict:
+    """The JSON object in ``path``; empty when the file is missing, does not
+    parse (say, torn by a crash mid-write) or holds another JSON value."""
+    try:
+        found = json.loads(Path(path).read_text())
+    except (FileNotFoundError, ValueError):
+        return {}
+    return found if isinstance(found, dict) else {}
+
+
 def ensure_mel_stats(manifest_path, manifest: Manifest | None = None) -> Path:
     """The stats file beside the manifest, recomputed unless it records this
     corpus's identity."""
     path = stats_path_for(manifest_path)
     if manifest is None:
         manifest = load_manifest(manifest_path)
-    if not path.exists() or json.loads(path.read_text()).get("corpus") != corpus_identity(manifest):
+    if read_json_object(path).get("corpus") != corpus_identity(manifest):
         compute_mel_stats(manifest, path)
     return path
 

@@ -38,6 +38,7 @@ from .data import (
     epoch_batches,
     ensure_mel_stats,
     load_manifest,
+    read_json_object,
 )
 from .distill import (
     LearnedTokenizer,
@@ -123,7 +124,7 @@ def ensure_token_dump(
     bin_path, sidecar = workdir / "tokens.bin", workdir / "tokens.json"
     cb_hash = tokenizer.codebook.content_hash()
     meta = {**meta, "corpus": corpus_identity(manifest)}
-    found = json.loads(sidecar.read_text()) if bin_path.exists() and sidecar.exists() else {}
+    found = read_json_object(sidecar) if bin_path.exists() else {}
     if (found.get("codebook_hash"), found.get("config")) != (cb_hash, meta):
         write_token_dump(bin_path, sidecar, tokenize_corpus(manifest, featurizer, tokenizer), cb_hash, meta)
     return read_token_dump(bin_path, sidecar)[0]

@@ -88,6 +88,16 @@ class TestLoadWav:
         _write_raw_wav(p, np.zeros(8000, dtype="<i2").tobytes())
         assert abs(wav_duration_seconds(p) - 0.5) < 1e-9
 
+    def test_truncated_data_chunk_rejected_from_header(self, tmp_path):
+        p = tmp_path / "cut.wav"
+        write_wav_pcm16(p, np.zeros(16000))
+        p.write_bytes(p.read_bytes()[:20000])
+        with pytest.raises(WavParseError, match="past the end") as err:
+            wav_duration_seconds(p)
+        assert err.value.offset == 44
+        with pytest.raises(WavParseError):
+            load_wav(p)
+
     @pytest.mark.parametrize("kind", ["mono-pcm16", "stereo-pcm16", "float32", "odd-chunk-before-data"])
     def test_duration_agrees_with_decoded_length(self, tmp_path, kind):
         p = tmp_path / f"{kind}.wav"

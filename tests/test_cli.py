@@ -122,6 +122,10 @@ class TestSynthAndManifest:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rows"] == 16 and out["skipped"] == 0
+        # written outside --root, the manifest still resolves every path
+        scanned = load_manifest(tmp_path / "scan.jsonl")
+        wavs = sorted((corpus_dir / "corpus").rglob("*.wav"))
+        assert sorted(scanned.resolve(r).resolve() for r in scanned.rows) == [w.resolve() for w in wavs]
 
 
 class TestPipelineCommands:
@@ -136,6 +140,24 @@ class TestPipelineCommands:
         assert (work / "tokens.bin").exists()
         rows = [json.loads(l) for l in (work / "train.log.jsonl").read_text().splitlines()]
         assert len(rows) == 4
+
+    def test_torn_sidecars_are_rebuilt(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth-corpus", "--out", str(corpus), "--clips", "8", "--classes", "2",
+                     "--seconds", "1.5", "--seed", "5"]) == 0
+        manifest = corpus / "manifest.jsonl"
+        args = ["pretrain", "--manifest", str(manifest), "--tokenizer", "random", *_micro_overrides()]
+        torn, fresh = tmp_path / "torn", tmp_path / "fresh"
+        assert main([*args, "--workdir", str(torn)]) == 0
+        stats = corpus / "manifest.stats.json"
+        stats_bytes = stats.read_bytes()
+        for path in (stats, torn / "tokens.json"):
+            path.write_bytes(path.read_bytes()[:40])
+        assert main([*args, "--workdir", str(torn)]) == 0
+        assert stats.read_bytes() == stats_bytes
+        assert main([*args, "--workdir", str(fresh)]) == 0
+        for name in ("tokens.json", "tokens.bin"):
+            assert (torn / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_resolved_config_reproduces_run(self, corpus_dir, tmp_path):
         work_a, work_b = tmp_path / "a", tmp_path / "b"

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiomlm.audio import MelSpectrogram, Waveform, mel_spectrogram
+from audiomlm import codebook
 from audiomlm.codebook import (
     Codebook,
     RandomProjectionTokenizer,
@@ -86,6 +89,67 @@ class TestQuantize:
         z1, _ = quantize(e, cb)
         z2, _ = quantize(e * scale, cb)
         assert z1 == z2
+
+
+def _unit(x):
+    return x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-30)
+
+
+def _broadcast(x, y):
+    """Every squared distance by the broadcast formula the kernel must reproduce."""
+    return ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(11)
+    grid = rng.integers(-2, 3, size=(600, 5)).astype(np.float64)
+    dup = rng.integers(-2, 3, size=(24, 5)).astype(np.float64)
+    dup[12:] = dup[:12]  # every codeword twice: each nearest one is an exact tie
+    wide = rng.standard_normal((40, 64))
+    return {
+        "random": (rng.standard_normal((300, 16)), rng.standard_normal((32, 16))),
+        "integer-grid-duplicated-codewords": (grid, dup),
+        "embeddings-equal-codewords": (np.concatenate([wide, wide[::-1], 2 * wide]), wide),
+        "midpoints": ((wide[:-1] + wide[1:]) / 2 + 1e-15 * rng.standard_normal((39, 64)), wide),
+        "one-codeword": (grid, dup[:1]),
+    }
+
+
+class TestDistanceKernel:
+    """``_nearest`` and the margins must equal the broadcast formula bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_kernel_cases()))
+    @pytest.mark.parametrize("chunk", [7, 2048])  # 7 splits runs of tied rows across chunks
+    def test_nearest_matches_broadcast(self, case, chunk, monkeypatch):
+        x, y = _kernel_cases()[case]
+        monkeypatch.setattr(codebook, "RESCORE_BYTES", 3 * 8 * x.shape[1])  # several rescore blocks
+        d = _broadcast(x, y)
+        for xs, ys, ds in ((x, y, d), (_unit(x), _unit(y), _broadcast(_unit(x), _unit(y)))):
+            index, dist = codebook._nearest(xs, ys, chunk)
+            np.testing.assert_array_equal(index, np.argmin(ds, axis=1))
+            np.testing.assert_array_equal(dist, ds.min(axis=1))
+
+    @pytest.mark.parametrize("case", sorted(set(_kernel_cases()) - {"one-codeword"}))
+    def test_margins_and_tokens_match_broadcast(self, case):
+        x, y = _kernel_cases()[case]
+        cb = Codebook.from_codewords(y, decay=1.0)
+        d = _broadcast(_unit(x), _unit(cb.codewords.astype(np.float64)))
+        part = np.partition(d, 1, axis=1)
+        np.testing.assert_array_equal(nearest_neighbor_margins(x, cb), part[:, 1] - part[:, 0])
+        nonzero = np.linalg.norm(x, axis=1) > 0
+        np.testing.assert_array_equal(quantize_batch(x[nonzero], cb), np.argmin(d[nonzero], axis=1))
+
+    def test_quantize_memory_is_chunk_by_k(self):
+        rng = np.random.default_rng(0)
+        cb = Codebook.from_codewords(rng.standard_normal((1024, 768)), decay=1.0)
+        emb = rng.standard_normal((144, 768)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            quantize_batch(emb, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6  # a (144, 1024, 768) float64 block alone is 906 MB
 
 
 class TestKMeans:

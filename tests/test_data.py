@@ -71,6 +71,29 @@ class TestManifest:
         assert manifest.rows[0].label == "dog"
         assert abs(manifest.rows[0].duration_s - 0.5) < 1e-9
 
+    def test_build_manifest_skips_truncated_wav(self, tmp_path):
+        (tmp_path / "dog").mkdir()
+        audio.write_wav_pcm16(tmp_path / "dog" / "ok.wav", np.zeros(16000))
+        cut = tmp_path / "dog" / "cut.wav"
+        audio.write_wav_pcm16(cut, np.zeros(16000))
+        cut.write_bytes(cut.read_bytes()[:20000])
+        manifest, skipped = build_manifest(tmp_path)
+        assert skipped == 1
+        assert [r.path for r in manifest.rows] == ["dog/ok.wav"]
+
+    def test_saved_outside_root_resolves_every_path(self, tmp_path):
+        root = tmp_path / "root"
+        for name in ("dog/a.wav", "cat/b.wav", "c.wav"):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            audio.write_wav_pcm16(root / name, np.zeros(8000))
+        built, _ = build_manifest(root)
+        for out in (tmp_path / "elsewhere" / "m.jsonl", root / "m.jsonl", root / "dog" / "m.jsonl"):
+            loaded = load_manifest(save_manifest(built, out))
+            assert [r.id for r in loaded.rows] == [r.id for r in built.rows]
+            for saved, row in zip(loaded.rows, built.rows):
+                assert loaded.resolve(saved).samefile(built.resolve(row))
+        assert load_manifest(root / "m.jsonl").rows == built.rows  # beside the root: paths as built
+
 
 class TestSyntheticCorpus:
     def test_deterministic_bytes(self, tmp_path):
